@@ -11,7 +11,7 @@
 //	go run ./cmd/bench -out BENCH_6.json
 //	go run ./cmd/bench -benchtime 2s -only mixed
 //	go run ./cmd/bench -only ingest/batch256 -cpuprofile cpu.pprof
-//	go run ./cmd/bench -max-allocs ingest/batch256=1   # CI regression gate
+//	go run ./cmd/bench -max-allocs ingest/batch256=1,ingest/net256=1   # CI regression gate
 package main
 
 import (
@@ -122,6 +122,7 @@ func main() {
 		{"ingest/row", true, benchsuite.IngestRow},
 		{"ingest/batch256", true, benchsuite.IngestBatch},
 		{"ingest/sketch256", true, benchsuite.SketchIngest},
+		{"ingest/net256", true, benchsuite.NetIngest},
 		{"query/warm", false, benchsuite.QueryWarm},
 		{"query/planner", false, benchsuite.PlannerRouted},
 		{"wal/append256", true, benchsuite.WALAppend},

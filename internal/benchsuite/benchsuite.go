@@ -49,13 +49,16 @@ func benchEngine(b *testing.B, cfg engine.Config) *engine.Sharded {
 }
 
 // benchRows builds the shared row pool.
-func benchRows() *words.Batch {
-	data := make([]uint16, benchPool*benchDim)
-	src := rng.New(35)
+func benchRows() *words.Batch { return randomRows(benchDim, benchQ, benchPool, 35) }
+
+// randomRows returns n uniform rows over d columns and alphabet q.
+func randomRows(d, q, n int, seed uint64) *words.Batch {
+	data := make([]uint16, n*d)
+	src := rng.New(seed)
 	for i := range data {
-		data[i] = uint16(src.Intn(benchQ))
+		data[i] = uint16(src.Intn(q))
 	}
-	return words.BatchOf(benchDim, data)
+	return words.BatchOf(d, data)
 }
 
 // IngestRow times per-row engine ingestion (one clone, one atomic
@@ -115,6 +118,41 @@ func SketchIngest(b *testing.B) {
 			n = b.N - lo
 		}
 		sum.ObserveBatch(rows.Slice(0, n))
+	}
+}
+
+// The net ingestion workload runs at the daemon defaults (projfreqd
+// -summary net: d = 12, Q = 2, ε = 0.05, α = 0.3, seed 1).
+const (
+	netDim    = 12
+	netQ      = 2
+	netPool   = 1 << 12 // distinct rows cycled through NetIngest
+	netWarmup = 1 << 10 // rows fed before the timer starts
+)
+
+// NetIngest times the served net summary, built by
+// engine.StandardSummary at the daemon defaults, consuming 256-row
+// batches directly (no engine). Every row fans out to one F0 KMV and
+// one 60-repetition F2 p-stable sketch per α-net member (158 members).
+// The summary is warmed outside the timer with 1024 rows, enough
+// distinct keys to fill the KMVs of the large members, so the timed
+// loop measures the steady state. One iteration is one row.
+func NetIngest(b *testing.B) {
+	sum, err := engine.StandardSummary("net", netDim, netQ, 0.05, 0.01, 0.3, 1, 0)
+	if err != nil {
+		b.Fatal(err)
+	}
+	net := sum.(core.BatchObserver)
+	rows := randomRows(netDim, netQ, netPool, 37)
+	for lo := 0; lo < netWarmup; lo += ingestRows {
+		net.ObserveBatch(rows.Slice(lo, lo+ingestRows))
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for lo := 0; lo < b.N; lo += ingestRows {
+		n := min(ingestRows, b.N-lo)
+		off := lo % netPool
+		net.ObserveBatch(rows.Slice(off, off+n))
 	}
 }
 

@@ -50,8 +50,17 @@ type Source struct {
 
 // New returns a Source derived from seed.
 func New(seed uint64) *Source {
-	sm := NewSplitMix64(seed)
-	src := &Source{}
+	src := Make(seed)
+	return &src
+}
+
+// Make returns a Source value derived from seed, with the same stream
+// as New(seed). A value held in a local variable stays on the stack,
+// so hot loops that derive one short-lived generator per draw (the
+// p-stable variates) pay no heap allocation.
+func Make(seed uint64) Source {
+	sm := SplitMix64{state: seed}
+	var src Source
 	for i := range src.s {
 		src.s[i] = sm.Uint64()
 	}

@@ -27,6 +27,23 @@ func TestDeterminism(t *testing.T) {
 	}
 }
 
+func TestMakeMatchesNew(t *testing.T) {
+	for _, seed := range []uint64{0, 1, 42, ^uint64(0)} {
+		a, b := New(seed), Make(seed)
+		for i := 0; i < 16; i++ {
+			if x, y := a.Uint64(), b.Uint64(); x != y {
+				t.Fatalf("seed %d draw %d: New %#x, Make %#x", seed, i, x, y)
+			}
+		}
+	}
+	if allocs := testing.AllocsPerRun(100, func() {
+		src := Make(7)
+		_ = src.Stable(1.5)
+	}); allocs != 0 {
+		t.Errorf("a Make-derived variate allocates %v times", allocs)
+	}
+}
+
 func TestForkDecorrelates(t *testing.T) {
 	base := New(7)
 	a := base.Fork(1)

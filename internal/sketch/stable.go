@@ -51,31 +51,91 @@ func (s *Stable) P() float64 { return s.p }
 // Reps returns the repetition count.
 func (s *Stable) Reps() int { return s.reps }
 
-// variate returns the deterministic p-stable X_{item,j}.
-func (s *Stable) variate(item uint64, j int) float64 {
-	src := rng.New(s.seed ^ rng.Mix64(item) ^ rng.Mix64(uint64(j)*0x9e3779b97f4a7c15+1))
+// variate returns the deterministic p-stable X_{item,j}, where base
+// is s.seed ^ rng.Mix64(item). The generator lives on the stack, so a
+// variate costs no allocation.
+func (s *Stable) variate(base uint64, j int) float64 {
+	src := rng.Make(base ^ rng.Mix64(uint64(j)*0x9e3779b97f4a7c15+1))
 	return src.Stable(s.p)
 }
 
 // AddCount adds count occurrences of item (negative counts allowed:
 // the sketch is linear).
 func (s *Stable) AddCount(item uint64, count int64) {
+	base := s.seed ^ rng.Mix64(item)
 	for j := range s.sums {
-		s.sums[j] += float64(count) * s.variate(item, j)
+		s.sums[j] += float64(count) * s.variate(base, j)
 	}
 }
 
 // Add observes a single occurrence of item.
 func (s *Stable) Add(item uint64) { s.AddCount(item, 1) }
 
+// stableMemoBytes bounds the variate memo of one AddBatch call. At the
+// served net configuration (60 repetitions, 480 bytes per item) it
+// holds every distinct item of a 256-row batch with room to spare.
+const stableMemoBytes = 256 << 10
+
+// stableMemo is AddBatch scratch: the variate vectors of the distinct
+// items seen so far in one batch, packed back to back.
+type stableMemo struct {
+	off  map[uint64]int // item → offset of its vector in vals
+	vals []float64      // capacity stableMemoBytes/8, never grown
+}
+
+// stableMemos lends scratch to AddBatch calls. The memo is not sketch
+// state: one per concurrent caller, not one per sketch, so a net with
+// hundreds of member sketches shares a single buffer per goroutine.
+var stableMemos = sync.Pool{New: func() any {
+	return &stableMemo{off: make(map[uint64]int), vals: make([]float64, 0, stableMemoBytes/8)}
+}}
+
 // AddBatch observes every item of items in order, equivalent to
-// calling Add per item. The variate derivation dominates, so batching
-// buys no amortization here — this exists so the batched key pipeline
-// has a uniform entry point across the sketch substrate.
+// calling Add per item: the counters end up bit-identical. Within one
+// call it computes each distinct item's variate vector once and reuses
+// it for the item's repeats, which are common because net members
+// project rows onto few columns. Each occurrence still adds its vector
+// into the counters in stream order; repeats are never folded into a
+// count·X product, whose rounding would differ. The memo is scratch
+// borrowed from a pool for the duration of the call, not sketch state:
+// it is not marshalled or merged. It holds at most stableMemoBytes and
+// starts over when the next vector would not fit; a sketch whose
+// single vector exceeds the budget takes the plain per-item loop.
 func (s *Stable) AddBatch(items []uint64) {
-	for _, item := range items {
-		s.AddCount(item, 1)
+	reps := len(s.sums)
+	if reps > stableMemoBytes/8 {
+		for _, item := range items {
+			s.AddCount(item, 1)
+		}
+		return
 	}
+	m := stableMemos.Get().(*stableMemo)
+	m.reset()
+	for _, item := range items {
+		off, ok := m.off[item]
+		if !ok {
+			if len(m.vals)+reps > cap(m.vals) {
+				m.reset()
+			}
+			off = len(m.vals)
+			m.vals = m.vals[:off+reps]
+			base := s.seed ^ rng.Mix64(item)
+			for j := range reps {
+				m.vals[off+j] = s.variate(base, j)
+			}
+			m.off[item] = off
+		}
+		v := m.vals[off : off+reps]
+		for j := range s.sums {
+			s.sums[j] += v[j]
+		}
+	}
+	stableMemos.Put(m)
+}
+
+func (m *stableMemo) reset() {
+	clear(m.off)
+	m.vals = m.vals[:0]
 }
 
 // EstimateNorm returns the estimate of ‖f‖_p.
